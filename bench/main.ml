@@ -452,15 +452,14 @@ let micro () =
   Report.table ~title:"Micro: single-thread per-operation latency (ns/op, OLS)"
     ~header:[ "case"; "ns/op" ] rows
 
-(* -- Micro: alloc/free pipe through the mempool transfer path ------------- *)
+(* -- Micro: alloc/free pipe through the mempool chain stacks ------------- *)
 
 (* Thread A allocs, thread B frees: every slot crosses the global free
-   list twice (B spills, A refills), the worst case for the transfer
-   path. Hand-off between the pair moves whole batches through an SPSC
-   ring so the pipe itself costs ~nothing per slot and the pool transfer
-   dominates. Chained vs per-slot isolates exactly the CAS-per-chain vs
-   CAS-per-slot difference the magazine batching buys. *)
-let run_pipe ~pairs ~transfer ~duration =
+   list twice (B spills, A refills), the worst case for the chain
+   transfer. Hand-off between the pair moves whole batches through an
+   SPSC ring so the pipe itself costs ~nothing per slot and the pool's
+   chain spill/refill dominates. *)
+let run_pipe ~pairs ~duration =
   let threads = 2 * pairs in
   let fair_share = 1024 in
   (* Deep ring: a blocked side sleeps (yielding the core) rather than
@@ -468,7 +467,7 @@ let run_pipe ~pairs ~transfer ~duration =
      timeslice's worth of slots for the running side to chew through. *)
   let ring_cap = 128 and batch_len = 2048 in
   let capacity = pairs * (((ring_cap + 4) * batch_len) + (4 * fair_share)) in
-  let pool = Mempool.Core.create ~capacity ~threads ~transfer ~fair_share () in
+  let pool = Mempool.Core.create ~capacity ~threads ~fair_share () in
   let stop = Atomic.make false in
   let barrier = Atomic.make 0 in
   let ops = Array.make (Mp_util.Padding.spaced_length threads) 0 in
@@ -608,7 +607,7 @@ let run_pipe ~pairs ~transfer ~duration =
     minor_gcs := !minor_gcs + Mp_util.Gcstat.minor_collections ~before ~after
   done;
   if Mempool.Core.live_count pool <> 0 then
-    failwith "pipe: slots leaked across the transfer path";
+    failwith "pipe: slots leaked across the chain stacks";
   (total_ops, throughput, !alloc_words, !promoted, !minor_gcs)
 
 let pipe_result ~pairs ~total_ops ~throughput ~alloc_words ~promoted ~minor_gcs :
@@ -649,34 +648,27 @@ let pipe () =
   let rows =
     List.map
       (fun pairs ->
-        let measure transfer scheme =
-          (* Scheduler noise on an oversubscribed host is the dominant
-             variance source; give the pipe a slightly longer window than
-             the quick-scale default. *)
-          let total_ops, throughput, alloc_words, promoted, minor_gcs =
-            run_pipe ~pairs ~transfer ~duration:(Float.max duration_s 0.7)
-          in
-          let r =
-            note ~ds:"mempool" ~scheme
-              (pipe_result ~pairs ~total_ops ~throughput ~alloc_words ~promoted ~minor_gcs)
-          in
-          (r.Runner.throughput, r.Runner.alloc_words_per_op)
+        (* Scheduler noise on an oversubscribed host is the dominant
+           variance source; give the pipe a slightly longer window than
+           the quick-scale default. *)
+        let total_ops, throughput, alloc_words, promoted, minor_gcs =
+          run_pipe ~pairs ~duration:(Float.max duration_s 0.7)
         in
-        let chained, chained_alloc = measure Mempool.Chained "chained" in
-        let per_slot, _ = measure Mempool.Per_slot "per_slot" in
+        let r =
+          note ~ds:"mempool" ~scheme:"chained"
+            (pipe_result ~pairs ~total_ops ~throughput ~alloc_words ~promoted ~minor_gcs)
+        in
         [
           string_of_int (2 * pairs);
-          Report.fmt_throughput chained;
-          Report.fmt_throughput per_slot;
-          Printf.sprintf "%.2fx" (chained /. per_slot);
-          Report.fmt_words_per_op chained_alloc;
+          Report.fmt_throughput r.Runner.throughput;
+          Report.fmt_words_per_op r.Runner.alloc_words_per_op;
         ])
       [ 1; 2; 4 ]
   in
   Report.table
     ~title:
       "Pipe: alloc/free producer-consumer pairs through the global free list (allocs+frees/s)"
-    ~header:[ "threads"; "chained"; "per-slot"; "speedup"; "self words/op" ]
+    ~header:[ "threads"; "allocs+frees/s"; "self words/op" ]
     rows
 
 (* -- Alloc: read-path allocation telemetry ------------------------------- *)

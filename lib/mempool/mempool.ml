@@ -1,4 +1,4 @@
-(** Manual-memory node pool — now an elastic multi-arena allocator.
+(** Manual-memory node pool: an elastic multi-arena allocator.
 
     OCaml is garbage-collected, so this pool simulates the C/C++ manual
     memory management environment the SMR problem lives in: node payloads
@@ -20,9 +20,11 @@
     of [capacity] slots each, in the style of Blelloch & Wei's
     constant-time fixed-size allocator: a slot's id is
     [(arena lsl off_bits) lor offset] (see {!Handle.arena_of_id}), so link
-    words, idx16 packing, UAF checking and the incarnation ABA tag are
-    exactly as in the single-arena pool. With the default [max_arenas = 1]
-    the pool behaves identically to its fixed-size predecessor.
+    words, idx16 packing, UAF checking and the incarnation ABA tag do not
+    depend on the arena count. A fixed-size pool is the default
+    [max_arenas = 1]: it can neither grow nor drain ({!Core.request_shrink}
+    needs a second arena), so its drain word stays idle and the one drain
+    check on the alloc/free path reads that idle word and falls through.
 
     Elasticity is online. When allocation finds every reachable free list
     empty and the pool is below [max_arenas], one thread attaches a fresh
@@ -56,9 +58,7 @@
     single-arena pools never mix and keep the one-CAS spill). Refill scans
     arenas lowest-first, concentrating load in low arenas so high arenas
     go idle and become drainable. Slots are linked through side arrays, so
-    free lists and chains allocate nothing. The legacy per-slot transfer
-    survives as [Per_slot] (chains of length one) so the batching win
-    stays measurable (`bench/main.exe pipe`). *)
+    free lists and chains allocate nothing. *)
 
 exception Exhausted
 
@@ -66,11 +66,6 @@ exception Exhausted
 let state_free = 0
 let state_live = 1
 let state_retired = 2
-
-(** Granularity of traffic through the global free lists: [Chained] moves
-    whole [fair_share]-length chains per CAS; [Per_slot] is the legacy
-    one-CAS-per-slot Treiber stack, kept for comparison benchmarks. *)
-type transfer = Chained | Per_slot
 
 module Core = struct
   (* Magazine arena tags: which arena the magazine's slots belong to.
@@ -159,14 +154,7 @@ module Core = struct
 
   type t = {
     capacity : int; (* slots per arena *)
-    threads : int;
-    transfer : transfer;
     max_arenas : int;
-    elastic : bool;
-        (* [max_arenas > 1]. A fixed pool can never grow or drain, so
-           the hot paths skip every draining check behind this immutable
-           branch — alloc/free in the single-arena steady state cost
-           what they did before elasticity existed. *)
     off_bits : int; (* id = (arena lsl off_bits) lor offset *)
     off_mask : int;
     arenas : arena array; (* length max_arenas; a shared dummy until attached *)
@@ -239,6 +227,29 @@ module Core = struct
       if Atomic.compare_and_set a.top top top' then head else arena_pop_chain t a
     end
 
+  (* Publish arena [a]'s free slots as [fair_share]-length chains.
+     [iter push] calls [push id] once per slot; [push] relinks the slot,
+     so an iterator walking a [stack_next] list reads each link before
+     pushing. Shared by seeding, arena attach and drain rescue, all cold
+     paths, so the closures it allocates stay off the steady-state
+     alloc/free path. *)
+  let push_slots t a iter =
+    let head = ref (-1) and tail = ref (-1) and len = ref 0 in
+    let flush () =
+      if !len > 0 then begin
+        arena_push_chain t a ~head:!head ~tail:!tail ~len:!len;
+        head := -1;
+        len := 0
+      end
+    in
+    iter (fun id ->
+        a.stack_next.(off_of t id) <- !head;
+        if !head < 0 then tail := id;
+        head := id;
+        incr len;
+        if !len >= t.fair_share then flush ());
+    flush ()
+
   (* -- drain/park machinery ------------------------------------------------ *)
 
   (* Push the parked list back onto the arena's chain stack. Used when a
@@ -246,29 +257,15 @@ module Core = struct
      cancellation (see [park]): whoever exchanges the list owns its
      slots, so each slot is re-published exactly once. *)
   let rescue_parked t a =
-    let chain_cap = match t.transfer with Chained -> t.fair_share | Per_slot -> 1 in
-    let id = ref (Atomic.exchange a.parked_top 0 - 1) in
     let rescued = ref 0 in
-    let chain_head = ref (-1) and chain_tail = ref (-1) and chain_len = ref 0 in
-    let flush_chain () =
-      if !chain_len > 0 then begin
-        arena_push_chain t a ~head:!chain_head ~tail:!chain_tail ~len:!chain_len;
-        chain_head := -1;
-        chain_tail := -1;
-        chain_len := 0
-      end
-    in
-    while !id >= 0 do
-      let next = a.stack_next.(off_of t !id) in
-      a.stack_next.(off_of t !id) <- !chain_head;
-      if !chain_head < 0 then chain_tail := !id;
-      chain_head := !id;
-      incr chain_len;
-      incr rescued;
-      if !chain_len >= chain_cap then flush_chain ();
-      id := next
-    done;
-    flush_chain ();
+    push_slots t a (fun push ->
+        let id = ref (Atomic.exchange a.parked_top 0 - 1) in
+        while !id >= 0 do
+          let next = a.stack_next.(off_of t !id) in
+          push !id;
+          incr rescued;
+          id := next
+        done);
     if !rescued > 0 then ignore (Atomic.fetch_and_add a.parked (- !rescued) : int)
 
   (* Route one free slot of a draining arena out of circulation. The
@@ -286,47 +283,34 @@ module Core = struct
     end
     else park t a id
 
+  (* Park every slot of the chain starting at [head]. *)
+  let park_chain t a head =
+    let id = ref head in
+    while !id >= 0 do
+      let next = a.stack_next.(off_of t !id) in
+      park t a !id;
+      id := next
+    done
+
   (* Capture every chain still on a draining arena's stack. Called by
      [request_shrink] and re-run on every detach poll, so chains spilled
      concurrently with the drain request are captured too. *)
   let scrub_stack t a =
     let head = ref (arena_pop_chain t a) in
     while !head >= 0 do
-      let id = ref !head in
-      while !id >= 0 do
-        let next = a.stack_next.(off_of t !id) in
-        park t a !id;
-        id := next
-      done;
+      park_chain t a !head;
       head := arena_pop_chain t a
     done
 
   (* -- spill --------------------------------------------------------------- *)
 
-  (* Publish a chain known to hold only arena [head lsr off_bits] slots:
-     one CAS when chained, one per slot in the legacy mode. A chain of a
-     draining arena leaves circulation instead. *)
+  (* Publish a chain known to hold only arena [head lsr off_bits] slots
+     with one CAS. A chain of a draining arena leaves circulation
+     instead. *)
   let spill_chain t ~head ~tail ~len =
     let a = arena_of t head in
-    if t.elastic && drain_arena (Atomic.get t.draining) = head lsr t.off_bits then begin
-      let id = ref head in
-      while !id >= 0 do
-        let next = a.stack_next.(off_of t !id) in
-        park t a !id;
-        id := next
-      done
-    end
-    else
-      match t.transfer with
-      | Chained -> arena_push_chain t a ~head ~tail ~len
-      | Per_slot ->
-        let id = ref head in
-        while !id >= 0 do
-          let next = a.stack_next.(off_of t !id) in
-          a.stack_next.(off_of t !id) <- -1;
-          arena_push_chain t a ~head:!id ~tail:!id ~len:1;
-          id := next
-        done
+    if drain_arena (Atomic.get t.draining) = head lsr t.off_bits then park_chain t a head
+    else arena_push_chain t a ~head ~tail ~len
 
   (* Spill a magazine. Homogeneous (the overwhelmingly common case, and
      the only case for a single-arena pool): one chain push. Mixed:
@@ -395,8 +379,7 @@ module Core = struct
       parked = Atomic.make 0;
     }
 
-  let create ~capacity ~threads ?(transfer = Chained) ?fair_share ?(check_access = false)
-      ?(max_arenas = 1) () =
+  let create ~capacity ~threads ?fair_share ?(check_access = false) ?(max_arenas = 1) () =
     if capacity > Handle.max_id then invalid_arg "Mempool.create: capacity too large";
     if capacity < threads then invalid_arg "Mempool.create: capacity < threads";
     if max_arenas < 1 then invalid_arg "Mempool.create: max_arenas must be >= 1";
@@ -423,10 +406,7 @@ module Core = struct
     let t =
       {
         capacity;
-        threads;
-        transfer;
         max_arenas;
-        elastic = max_arenas > 1;
         off_bits;
         off_mask = (1 lsl off_bits) - 1;
         arenas = Array.init max_arenas (fun k -> if k = 0 then arena0 else dummy);
@@ -474,39 +454,22 @@ module Core = struct
        still unreachable until that thread spills, so [Exhausted] is a
        per-thread-visibility condition, not a global-emptiness one. *)
     let seeded = ref 0 in
-    let chain_head = ref (-1) and chain_tail = ref (-1) and chain_len = ref 0 in
-    let chain_cap = match transfer with Chained -> fair_share | Per_slot -> 1 in
-    let flush_chain () =
-      if !chain_len > 0 then begin
-        arena_push_chain t arena0 ~head:!chain_head ~tail:!chain_tail ~len:!chain_len;
-        chain_head := -1;
-        chain_tail := -1;
-        chain_len := 0
-      end
-    in
-    for id = capacity - 1 downto 0 do
-      let l = t.locals.(!seeded mod threads) in
-      if l.count < t.fair_share && !seeded < threads * t.fair_share then begin
-        arena0.stack_next.(id) <- l.head;
-        if l.head < 0 then l.tail <- id;
-        l.head <- id;
-        l.count <- l.count + 1;
-        l.arena <- 0;
-        incr seeded
-      end
-      else begin
-        arena0.stack_next.(id) <- !chain_head;
-        if !chain_head < 0 then chain_tail := id;
-        chain_head := id;
-        incr chain_len;
-        if !chain_len >= chain_cap then flush_chain ()
-      end
-    done;
-    flush_chain ();
+    push_slots t arena0 (fun push ->
+        for id = capacity - 1 downto 0 do
+          if !seeded < threads * fair_share then begin
+            let l = t.locals.(!seeded mod threads) in
+            arena0.stack_next.(id) <- l.head;
+            if l.head < 0 then l.tail <- id;
+            l.head <- id;
+            l.count <- l.count + 1;
+            l.arena <- 0;
+            incr seeded
+          end
+          else push id
+        done);
     t
 
   let capacity t = t.capacity
-  let threads t = t.threads
   let fair_share t = t.fair_share
   let off_bits t = t.off_bits
   let max_arenas t = t.max_arenas
@@ -549,25 +512,10 @@ module Core = struct
       end
     in
     t.grow_hook k;
-    let chain_cap = match t.transfer with Chained -> t.fair_share | Per_slot -> 1 in
-    let chain_head = ref (-1) and chain_tail = ref (-1) and chain_len = ref 0 in
-    let flush_chain () =
-      if !chain_len > 0 then begin
-        arena_push_chain t a ~head:!chain_head ~tail:!chain_tail ~len:!chain_len;
-        chain_head := -1;
-        chain_tail := -1;
-        chain_len := 0
-      end
-    in
-    for off = a.size - 1 downto 0 do
-      let id = base + off in
-      a.stack_next.(off) <- !chain_head;
-      if !chain_head < 0 then chain_tail := id;
-      chain_head := id;
-      incr chain_len;
-      if !chain_len >= chain_cap then flush_chain ()
-    done;
-    flush_chain ();
+    push_slots t a (fun push ->
+        for off = a.size - 1 downto 0 do
+          push (base + off)
+        done);
     ignore (Atomic.fetch_and_add t.resident a.size : int);
     Atomic.incr t.grows;
     (* Publish last: threads iterate stacks [0, attached). *)
@@ -584,8 +532,7 @@ module Core = struct
      the completion publishes [drain_idle] only after [attached] and the
      arena arrays are consistent. *)
   let try_grow t =
-    if t.max_arenas = 1 then false
-    else if Atomic.get t.attached >= t.max_arenas then false
+    if Atomic.get t.attached >= t.max_arenas then false
     else if not (Atomic.compare_and_set t.growing false true) then false
     else begin
       let ok = Atomic.get t.draining = drain_idle && Atomic.get t.attached < t.max_arenas in
@@ -742,8 +689,8 @@ module Core = struct
       true
     end
     else begin
-      let n = if t.elastic then Atomic.get t.attached else 1 in
-      let d = if t.elastic then drain_arena (Atomic.get t.draining) else -1 in
+      let n = Atomic.get t.attached in
+      let d = drain_arena (Atomic.get t.draining) in
       let rec go k =
         if k >= n then false
         else if k = d then go (k + 1)
@@ -774,7 +721,7 @@ module Core = struct
     l.head <- a.stack_next.(off);
     l.count <- l.count - 1;
     if l.head < 0 then l.tail <- -1;
-    if t.elastic && drain_arena (Atomic.get t.draining) = id lsr t.off_bits then begin
+    if drain_arena (Atomic.get t.draining) = id lsr t.off_bits then begin
       (* Stray slot of a draining arena surfacing from a magazine: it
          leaves circulation here instead of being handed out. *)
       park t a id;
@@ -845,12 +792,7 @@ module Core = struct
       if id >= 0 then id else alloc_slow t ~tid l
     end
 
-  (** Non-raising {!alloc}: [None] when no slot is reachable, so callers
-      can degrade into backpressure (retry with backoff, count the stall)
-      instead of unwinding. *)
-  let alloc_opt t ~tid = match alloc t ~tid with id -> Some id | exception Exhausted -> None
-
-  (** Was this thread's last {!Exhausted} (or [None]) a {e hard}
+  (** Was this thread's last {!Exhausted} a {e hard}
       exhaustion — the pool at [max_arenas] with no grow or drain in
       flight, so waiting out a backoff schedule cannot be satisfied by an
       arena attach? Always false for fixed-size ([max_arenas = 1]) pools,
@@ -862,8 +804,8 @@ module Core = struct
   (** Return slot [id] to thread [tid]'s free lists. A full active
       magazine rotates into the spare; a displaced full spare is spilled
       to its arena's stack as one chain (a single CAS per [fair_share]
-      frees on the chained path). A slot of a draining arena leaves
-      circulation instead of entering the magazine. *)
+      frees). A slot of a draining arena leaves circulation instead of
+      entering the magazine. *)
   let free t ~tid id =
     let a = arena_of t id in
     let off = off_of t id in
@@ -874,7 +816,7 @@ module Core = struct
     Mp_util.Striped_counter.incr t.frees ~tid;
     let l = t.locals.(tid) in
     l.live <- l.live - 1;
-    if t.elastic && drain_arena (Atomic.get t.draining) = id lsr t.off_bits then park t a id
+    if drain_arena (Atomic.get t.draining) = id lsr t.off_bits then park t a id
     else begin
       if l.count >= t.fair_share then begin
         if l.spare_head >= 0 then begin
@@ -1005,11 +947,9 @@ type 'a t = {
   off_mask : int;
 }
 
-let create ~capacity ~threads ?(transfer = Chained) ?fair_share ?(check_access = false)
-    ?(max_arenas = 1) make_payload =
-  let core =
-    Core.create ~capacity ~threads ~transfer ?fair_share ~check_access ~max_arenas ()
-  in
+let create ~capacity ~threads ?fair_share ?(check_access = false) ?(max_arenas = 1)
+    make_payload =
+  let core = Core.create ~capacity ~threads ?fair_share ~check_access ~max_arenas () in
   let off_bits = Core.off_bits core in
   let payloads = Array.make max_arenas [||] in
   payloads.(0) <- Array.init capacity make_payload;
@@ -1022,7 +962,6 @@ let create ~capacity ~threads ?(transfer = Chained) ?fair_share ?(check_access =
   { core; payloads; off_bits; off_mask = (1 lsl off_bits) - 1 }
 
 let core t = t.core
-let capacity t = Core.capacity t.core
 
 (** Payload of slot [id]. With [check_access], accessing a free slot is
     recorded as a use-after-free violation (the access still returns the
@@ -1035,9 +974,7 @@ let[@inline] get t id =
 let[@inline] unsafe_get t id = t.payloads.(id lsr t.off_bits).(id land t.off_mask)
 
 let alloc t ~tid = Core.alloc t.core ~tid
-let alloc_opt t ~tid = Core.alloc_opt t.core ~tid
 let free t ~tid id = Core.free t.core ~tid id
 let handle t id = Core.handle t.core id
 let violations t = Core.violations t.core
 let live_count t = Core.live_count t.core
-let live_peak t = Core.live_peak t.core

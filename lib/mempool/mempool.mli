@@ -10,8 +10,9 @@
     {!Handle.arena_of_id}). Exhaustion below [max_arenas] attaches a fresh
     arena online; an idle arena is drained (its slots routed out of
     circulation) and detached through the SMR layer once no reservation
-    can reach it ({!Smr_core.Detach}). With the default [max_arenas = 1]
-    the pool is exactly the fixed-size pool of earlier revisions. See the
+    can reach it ({!Smr_core.Detach}). A fixed-size pool is the default
+    [max_arenas = 1] on the same single code path: it never drains, so
+    the drain check alloc and free make reads an idle word. See the
     implementation header and [docs/mempool.md] for the full design. *)
 
 exception Exhausted
@@ -21,12 +22,6 @@ val state_free : int
 
 val state_live : int
 val state_retired : int
-
-(** Granularity of traffic through the arena free lists: [Chained]
-    (default) moves whole [fair_share]-length chains with one CAS;
-    [Per_slot] is the legacy one-CAS-per-slot Treiber stack, kept so the
-    batching win stays measurable. *)
-type transfer = Chained | Per_slot
 
 (** Payload-agnostic layer: slot states, free lists, arena lifecycle and
     the per-node metadata words SMR schemes piggyback on nodes (MP index,
@@ -46,7 +41,6 @@ module Core : sig
   val create :
     capacity:int ->
     threads:int ->
-    ?transfer:transfer ->
     ?fair_share:int ->
     ?check_access:bool ->
     ?max_arenas:int ->
@@ -54,7 +48,6 @@ module Core : sig
     t
 
   val capacity : t -> int
-  val threads : t -> int
 
   (** Magazine size: the chain length moved per global CAS. *)
   val fair_share : t -> int
@@ -126,22 +119,10 @@ module Core : sig
       drain. *)
   val complete_detach : t -> int -> bool
 
-  (** Payload attach/drop callbacks, installed by the ['a t] layer.
-      [grow_hook k] runs before arena [k]'s slots are published;
-      [detach_hook k] runs as arena [k] is unmapped. *)
-  val set_grow_hook : t -> (int -> unit) -> unit
-
-  val set_detach_hook : t -> (int -> unit) -> unit
-
   (** Pop a free slot for [tid]; raises {!Exhausted} when neither the
       thread's local magazines nor any reachable arena stack has one
       (attaching a fresh arena first when below [max_arenas]). *)
   val alloc : t -> tid:int -> int
-
-  (** Non-raising {!alloc}: [None] when no slot is reachable, so callers
-      can degrade into backpressure (retry with backoff, count the
-      stall) instead of unwinding through {!Exhausted}. *)
-  val alloc_opt : t -> tid:int -> int option
 
   (** Was [tid]'s last exhaustion {e hard} — the pool at [max_arenas]
       with no grow or drain in flight, so backoff cannot be satisfied by
@@ -222,14 +203,13 @@ end
     such slots unreachable from correct clients). *)
 type 'a t
 
-(** [create ~capacity ~threads ?transfer ?fair_share ?check_access
-    ?max_arenas make_payload] pre-allocates arena 0's [capacity] payloads
+(** [create ~capacity ~threads ?fair_share ?check_access ?max_arenas
+    make_payload] pre-allocates arena 0's [capacity] payloads
     with [make_payload slot_id]; later arenas allocate theirs on
     attach. *)
 val create :
   capacity:int ->
   threads:int ->
-  ?transfer:transfer ->
   ?fair_share:int ->
   ?check_access:bool ->
   ?max_arenas:int ->
@@ -237,7 +217,6 @@ val create :
   'a t
 
 val core : 'a t -> Core.t
-val capacity : 'a t -> int
 
 (** Payload access with use-after-free detection. *)
 val get : 'a t -> int -> 'a
@@ -247,11 +226,7 @@ val get : 'a t -> int -> 'a
 val unsafe_get : 'a t -> int -> 'a
 
 val alloc : 'a t -> tid:int -> int
-val alloc_opt : 'a t -> tid:int -> int option
 val free : 'a t -> tid:int -> int -> unit
 val handle : 'a t -> int -> Handle.t
 val violations : 'a t -> int
 val live_count : 'a t -> int
-
-(** See {!Core.live_peak}. *)
-val live_peak : 'a t -> int

@@ -507,6 +507,11 @@ let recover t st shard =
   Request_ring.bump_generation t.rings.(shard);
   let adopt_and_pool tid =
     t.adopt_tid tid;
+    (* The corpse handed its magazines back on exit, but adoption's
+       reclamation pass frees into them again: hand those back too, or a
+       pending drain waits on slots no thread pops until the tid is
+       reused. *)
+    Mempool.Core.release_local t.pool ~tid;
     Recovery.note_adoption st;
     Mp_util.Fault.forgive ~tid;
     Recovery.return_tid st tid
@@ -633,7 +638,20 @@ let stop t =
   Array.iteri
     (fun shard d -> if not t.joined.(shard) then Domain.join d)
     t.domains;
-  t.domains <- [||]
+  t.domains <- [||];
+  (* Every service domain is joined, so this thread owns every tid the
+     service used. A worker's exit flush cannot reclaim nodes retired
+     while another shard still announced a reservation, and nothing
+     scans that tid again: adopt each tid (with no domain running, its
+     pass reclaims the rest) and hand its magazines back, so a pending
+     arena drain can complete. *)
+  let spares =
+    match t.recovery with Some st -> (Recovery.config st).Recovery.spare_tids | None -> 0
+  in
+  for tid = 0 to t.shards + spares - 1 do
+    t.adopt_tid tid;
+    Mempool.Core.release_local t.pool ~tid
+  done
 
 (* -- client side --------------------------------------------------------- *)
 

@@ -92,7 +92,9 @@ val start : t -> unit
 (** Stop and join the supervisor and shards. Requests still in flight
     are answered ({!reply_rejected}) before the shards exit, so
     concurrent awaiters terminate; submissions racing past [stop] may
-    remain unanswered — stop clients first. *)
+    remain unanswered — stop clients first. After the joins, every tid
+    the service used is adopted and its magazines are released, so no
+    retired node or free slot stays stranded with a stopped worker. *)
 val stop : t -> unit
 
 val shards : t -> int

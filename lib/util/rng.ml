@@ -22,20 +22,25 @@ let gamma = 0x1E3779B97F4A7C15
 let mult1 = 0x3F58476D1CE4E5B9
 let mult2 = 0x14D049BB133111EB
 
+(* SplitMix's finalizer: xor-shift-multiply avalanche of a state word. *)
+let[@inline] mix s =
+  let z = (s lxor (s lsr 30)) * mult1 in
+  let z = (z lxor (z lsr 27)) * mult2 in
+  z lxor (z lsr 31)
+
 let create seed = { state = seed }
 
-(** Derive a stream for thread [tid] from a master [seed]; streams are
-    decorrelated by the golden-gamma increment. *)
-let split ~seed ~tid = { state = seed + (gamma * (tid + 1)) }
+(** Derive a stream for thread [tid] from a master [seed]. The start
+    state goes through the finalizer: a bare [seed + gamma * (tid + 1)]
+    would make stream [tid + 1] stream [tid] shifted by one draw, since
+    every draw adds [gamma]. *)
+let split ~seed ~tid = { state = mix (seed + (gamma * (tid + 1))) }
 
 (** [next_int t] is a uniformly distributed non-negative OCaml int. *)
 let next_int t =
   let s = t.state + gamma in
   t.state <- s;
-  let z = (s lxor (s lsr 30)) * mult1 in
-  let z = (z lxor (z lsr 27)) * mult2 in
-  let z = z lxor (z lsr 31) in
-  z land max_int
+  mix s land max_int
 
 (** [below t n] is uniform in [0, n). Requires [n > 0]. *)
 let below t n =

@@ -82,7 +82,14 @@ let fixed_pool_exhaustion_is_soft () =
   done;
   Alcotest.check_raises "exhausted" Mempool.Exhausted (fun () ->
       ignore (Core.alloc p ~tid:0 : int));
-  Alcotest.(check bool) "never hard for max_arenas = 1" false (Core.last_alloc_hard p ~tid:0)
+  Alcotest.(check bool) "never hard for max_arenas = 1" false (Core.last_alloc_hard p ~tid:0);
+  (* A fixed pool is the elastic pool at max_arenas = 1: exhaustion
+     neither grows it nor lets a drain start. *)
+  Alcotest.(check int) "one arena" 1 (Core.attached_arenas p);
+  Alcotest.(check (option int)) "no drain" None (Core.request_shrink p);
+  Alcotest.(check bool) "nothing to cancel" false (Core.cancel_shrink p);
+  Alcotest.(check int) "no detaching slots" 0 (Core.detaching_slots p);
+  Alcotest.(check bool) "no detach ready" true (Core.detach_ready p = None)
 
 let shrink_lifecycle () =
   let capacity = 16 in

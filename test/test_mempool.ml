@@ -183,11 +183,9 @@ let concurrent_alloc_free_stress () =
    duplicated: each free bumps exactly one slot's incarnation, so the sum
    over all slots must equal the number of frees, and a final drain from
    both tids must surface every slot exactly once. *)
-let pipe_no_lost_or_duplicated transfer () =
+let pipe_no_lost_or_duplicated () =
   let capacity = 4096 and rounds = 100_000 in
-  let p =
-    Mempool.create ~capacity ~threads:2 ~transfer ~fair_share:256 (fun i -> i)
-  in
+  let p = Mempool.create ~capacity ~threads:2 ~fair_share:256 (fun i -> i) in
   let c = Mempool.core p in
   let q = Queue.create () in
   let m = Mutex.create () in
@@ -308,6 +306,28 @@ let chain_version_monotonic () =
       Hashtbl.add words w ()
   done
 
+(* Batching as a work counter: every push and pop on arena 0's stack
+   bumps its top-word version once, so n allocs then n frees on one
+   thread may cost at most one CAS per fair_share-length chain each way
+   (plus one partial chain per direction) — never one per slot. *)
+let chain_cas_per_chain () =
+  let f = 64 and n = 1000 in
+  let p = Mempool.create ~capacity:4096 ~threads:1 ~fair_share:f (fun i -> i) in
+  let c = Mempool.core p in
+  let version () = Core.debug_top_word c lsr 33 in
+  let v0 = version () in
+  let ids = Array.init n (fun _ -> Mempool.alloc p ~tid:0) in
+  Array.iter (fun id -> Mempool.free p ~tid:0 id) ids;
+  let cas = version () - v0 in
+  let chains = (n + f - 1) / f in
+  Alcotest.(check bool) "the stack was used" true (cas > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d top-word CAS for %d allocs + %d frees (bound %d)" cas n n
+       ((2 * chains) + 2))
+    true
+    (cas <= (2 * chains) + 2);
+  Alcotest.(check int) "quiescent live count" 0 (Mempool.live_count p)
+
 let capacity_validation () =
   Alcotest.check_raises "capacity < threads rejected"
     (Invalid_argument "Mempool.create: capacity < threads") (fun () ->
@@ -336,13 +356,12 @@ let () =
           Alcotest.test_case "cross-thread rebalancing" `Slow cross_thread_rebalancing;
           Alcotest.test_case "alloc/free stress" `Slow concurrent_alloc_free_stress;
           Alcotest.test_case "pipe chained: no slot lost/duplicated" `Slow
-            (pipe_no_lost_or_duplicated Mempool.Chained);
-          Alcotest.test_case "pipe per-slot: no slot lost/duplicated" `Slow
-            (pipe_no_lost_or_duplicated Mempool.Per_slot);
+            pipe_no_lost_or_duplicated;
         ] );
       ( "chains",
         [
           Alcotest.test_case "ABA version tag" `Quick chain_aba_version_tag;
           Alcotest.test_case "top-word monotonicity" `Quick chain_version_monotonic;
+          Alcotest.test_case "one CAS per chain" `Quick chain_cas_per_chain;
         ] );
     ]

@@ -18,7 +18,16 @@ let rng_split_decorrelates () =
   for _ = 1 to 1000 do
     if Rng.below a 1000 = Rng.below b 1000 then incr equal
   done;
-  Alcotest.(check bool) "streams differ" true (!equal < 100)
+  Alcotest.(check bool) "streams differ" true (!equal < 100);
+  (* Neither may one stream be the other shifted by a draw: compare b's
+     k-th draw with a's (k+1)-th. *)
+  let a = Rng.split ~seed:1 ~tid:0 and b = Rng.split ~seed:1 ~tid:1 in
+  ignore (Rng.next_int a : int);
+  let shifted = ref 0 in
+  for _ = 1 to 1000 do
+    if Rng.below a 1000 = Rng.below b 1000 then incr shifted
+  done;
+  Alcotest.(check bool) "streams are not shifted copies" true (!shifted < 100)
 
 let rng_below_in_range () =
   let r = Rng.create 7 in
