@@ -64,12 +64,28 @@
     crash takeover the same holds through the [Domain.join] edge: the
     replacement's completions happen-after everything the corpse wrote.
 
-    Blocking waits ({!await}, {!await_chain}) are adaptive: a short
-    phase of tight reads, then [Domain.cpu_relax], then exponential
-    sleep backoff — a pure spin on an oversubscribed host burns exactly
-    the timeslice the consumer needs. The phases are tallied into the
-    ring's {!stats} ([client_spins]/[client_backoffs]) so burned CPU is
-    a measured quantity, not noise.
+    {e Parking.} Neither side sleeps on a timer. Both spin briefly and
+    then park on the ring's one mutex: the consumer on its own
+    condition ({!park_consumer}), blocking clients ({!await},
+    {!await_chain}) on a shared client condition. A waker signals only
+    when the other side has announced itself: producers ({!try_submit},
+    {!try_submit_chain}, {!cancel}) read the consumer's parked word
+    after their publishing write, and {!complete} reads the client
+    waiter count after completing a chain's last slot. So a side that
+    never parks costs its peer one extra read per publish, and a parked
+    side wakes on the event itself rather than at the end of a sleep.
+    Neither handshake can lose a wakeup. Each is a Dekker pair of SC
+    atomics. The waiter writes its flag, then re-checks the sequence
+    word under the mutex. The waker writes the sequence word, then
+    reads the flag. At least one of them sees the other's write: either
+    the waiter finds the event and does not wait, or the waker finds
+    the flag and signals under the mutex. The waiter holds that mutex
+    from before its flag write until [Condition.wait] releases it, so
+    the signal cannot fall between its re-check and its wait (DESIGN.md
+    "Service layer and batch amortization", "Parking"). Client spin
+    iterations and parks are tallied into the ring's {!stats}
+    ([client_spins]/[client_backoffs]), so burned CPU is a measured
+    quantity, not noise.
 
     Submitting, serving, polling and cancelling allocate nothing ([-1]
     sentinels instead of options): the reply path of a request is a
@@ -89,7 +105,12 @@ type t = {
   generation : int Atomic.t; (* bumped by the recovery supervisor *)
   wait_stats : int Atomic.t array;
       (* spaced; [0] = client spins (relax iterations), [1] = client
-         backoffs (sleeps) — flushed once per completed blocking wait *)
+         parks — flushed once per completed blocking wait *)
+  parked : int Atomic.t; (* 1 while the consumer is parked (or about to be) *)
+  waiters : int Atomic.t; (* clients parked (or about to be) in a blocking wait *)
+  lock : Mutex.t; (* guards both parks; held by a waker only to signal *)
+  consumer_wake : Condition.t;
+  client_wake : Condition.t;
 }
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
@@ -100,6 +121,9 @@ let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
     cannot collide with the next lap's). *)
 let create ~capacity =
   let capacity = pow2_at_least (max 4 capacity) 4 in
+  (* The two park words sit a line apart: producers read [parked] on
+     every publish, the consumer reads [waiters] on every chain end. *)
+  let park_words = Mp_util.Padding.atomic_int_array 2 in
   {
     capacity;
     mask = capacity - 1;
@@ -113,9 +137,42 @@ let create ~capacity =
     tail = Atomic.make 0;
     generation = Atomic.make 0;
     wait_stats = Mp_util.Padding.atomic_int_array 2;
+    parked = park_words.(Mp_util.Padding.spaced_index 0);
+    waiters = park_words.(Mp_util.Padding.spaced_index 1);
+    lock = Mutex.create ();
+    consumer_wake = Condition.create ();
+    client_wake = Condition.create ();
   }
 
 let capacity t = t.capacity
+
+(* -- wakeups --------------------------------------------------------------- *)
+
+(* Both wakers signal under the mutex: a parker holds it from before
+   its flag write until [Condition.wait] releases it, so the signal
+   lands either before the parker's re-check (which then sees the
+   event) or inside its wait. *)
+
+(** Wake the consumer if it is parked; any caller, any time. A consumer
+    parked with nothing to do re-checks and parks again, so this is how
+    a flag outside the ring (a service's stop flag) reaches it. *)
+let wake_consumer t =
+  Mutex.lock t.lock;
+  Condition.signal t.consumer_wake;
+  Mutex.unlock t.lock
+
+let wake_clients t =
+  Mutex.lock t.lock;
+  Condition.broadcast t.client_wake;
+  Mutex.unlock t.lock
+
+(** Is the consumer parked right now? A parked consumer is idle, not
+    stalled: its next event wakes it. *)
+let[@inline] consumer_parked t = Atomic.get t.parked <> 0
+
+(* The producers' half of the consumer handshake: called after the
+   publishing write of a submit or cancel. *)
+let[@inline] notify_consumer t = if consumer_parked t then wake_consumer t
 
 let[@inline] seq_at t pos =
   Array.unsafe_get t.seq (Mp_util.Padding.spaced_index (pos land t.mask))
@@ -157,6 +214,7 @@ let rec try_submit ?(deadline_us = 0) t ~op ~key ~value =
       t.payload.(b + 5) <- deadline_us;
       t.payload.(b + 6) <- 1;
       Atomic.set s (pos + 1);
+      notify_consumer t;
       pos
     end
     else try_submit ~deadline_us t ~op ~key ~value (* lost the ticket race *)
@@ -209,6 +267,7 @@ let rec try_submit_chain ?(deadline_us = 0) t ~n ~ops ~keys ~values ~off =
         t.payload.(b + 6) <- n - i;
         Atomic.set (seq_at t p) (p + 1)
       done;
+      notify_consumer t;
       pos
     end
     else try_submit_chain ~deadline_us t ~n ~ops ~keys ~values ~off
@@ -236,7 +295,10 @@ let[@inline] poll t ~ticket =
 let cancel t ~ticket =
   let s = seq_at t ticket in
   let v = Atomic.get s in
-  if v = ticket + 1 && Atomic.compare_and_set s (ticket + 1) (ticket + 3) then -1
+  if v = ticket + 1 && Atomic.compare_and_set s (ticket + 1) (ticket + 3) then begin
+    notify_consumer t;
+    -1
+  end
   else if Atomic.get s = ticket + 2 then begin
     (* Completed (either before the first read or by winning the race
        against our CAS): take the reply and ack, exactly like poll. *)
@@ -271,9 +333,18 @@ let[@inline] deadline_us t ~pos = t.payload.(base t pos + 5)
     canceller never touches it again), and the consumer simply moves
     on. *)
 let[@inline] complete t ~pos reply =
-  t.payload.(base t pos + 3) <- reply;
+  let b = base t pos in
+  t.payload.(b + 3) <- reply;
+  (* Read before the CAS: once the slot is completed its submitter may
+     harvest it and a next-lap producer overwrite the payload. *)
+  let chain_end = t.payload.(b + 6) = 1 in
   let s = seq_at t pos in
-  if Atomic.compare_and_set s (pos + 1) (pos + 2) then true
+  if Atomic.compare_and_set s (pos + 1) (pos + 2) then begin
+    (* The consumer's half of the client handshake. Clients only ever
+       wait on a chain's last slot (a single submit is a 1-chain). *)
+    if chain_end && Atomic.get t.waiters > 0 then wake_clients t;
+    true
+  end
   else begin
     (* Only cancel takes submitted → cancelled; free the slot. *)
     Atomic.set s (pos + t.capacity);
@@ -316,53 +387,83 @@ let harvest_chain t ~ticket ~n ~replies ~off =
     Atomic.set (seq_at t p) (p + t.capacity)
   done
 
-(* -- adaptive blocking waits ---------------------------------------------- *)
+(* -- the consumer's park ---------------------------------------------------- *)
+
+let rec consumer_wait t s ~pos ~stop =
+  let v = Atomic.get s in
+  if not (v = pos + 1 || v = pos + 3 || Atomic.get stop) then begin
+    Condition.wait t.consumer_wake t.lock;
+    consumer_wait t s ~pos ~stop
+  end
+
+(** Park the consumer until the slot at its cursor [pos] is submitted
+    or cancelled, or [stop] is set. Returns at once if one already
+    holds. The consumer's half of the handshake in the header: the
+    parked word is written, then the slot and [stop] are re-checked,
+    all under the mutex. Whoever sets [stop] must call {!wake_consumer}
+    afterwards. *)
+let park_consumer t ~pos ~stop =
+  let s = seq_at t pos in
+  Mutex.lock t.lock;
+  Atomic.set t.parked 1;
+  consumer_wait t s ~pos ~stop;
+  Atomic.set t.parked 0;
+  Mutex.unlock t.lock
+
+(* -- blocking client waits ------------------------------------------------- *)
 
 (* Wait phases: [spin_reads] tight re-reads, then [relax_budget]
-   iterations of [Domain.cpu_relax], then exponential sleep backoff from
-   [backoff_base_s] doubling to [backoff_cap_s]. On an oversubscribed
-   host (shards + clients > cores) the sleep phase is what yields the
-   timeslice the consumer needs to make progress. *)
+   iterations of [Domain.cpu_relax], then a park on the client
+   condition until the completing consumer broadcasts. *)
 let spin_reads = 64
 let relax_budget = 512
-let backoff_base_s = 0.000001
-let backoff_cap_s = 0.001
 
-(* Wait until the slot holding [ticket]'s *last-slot* position reaches
-   [target]; tally relax iterations and sleeps into [wait_stats]. *)
+let rec client_wait t s ~target parks =
+  if Atomic.get s = target then parks
+  else begin
+    Condition.wait t.client_wake t.lock;
+    client_wait t s ~target (parks + 1)
+  end
+
+(* Park until [s] reaches [target]; the number of [Condition.wait]s. *)
+let park_seq t s ~target =
+  Mutex.lock t.lock;
+  Atomic.incr t.waiters;
+  let parks = client_wait t s ~target 0 in
+  Atomic.decr t.waiters;
+  Mutex.unlock t.lock;
+  parks
+
+let[@inline] tally t i n =
+  if n > 0 then begin
+    let c = t.wait_stats.(Mp_util.Padding.spaced_index i) in
+    Atomic.set c (Atomic.get c + n)
+  end
+
+(* Wait until the sequence word at [pos] (a chain's last slot) reaches
+   [target]; tally relax iterations and parks into [wait_stats]. *)
 let wait_seq t ~pos ~target =
   let s = seq_at t pos in
   let rec tight i =
-    if Atomic.get s = target then (0, 0)
+    if Atomic.get s = target then 0
     else if i > 0 then tight (i - 1)
     else relax 0
   and relax r =
-    if Atomic.get s = target then (r, 0)
+    if Atomic.get s = target then r
     else if r < relax_budget then begin
       Domain.cpu_relax ();
       relax (r + 1)
     end
-    else backoff r 0 backoff_base_s
-  and backoff r b d =
-    if Atomic.get s = target then (r, b)
     else begin
-      Unix.sleepf d;
-      backoff r (b + 1) (Float.min (d *. 2.) backoff_cap_s)
+      tally t 1 (park_seq t s ~target);
+      r
     end
   in
-  let relaxes, sleeps = tight spin_reads in
-  if relaxes > 0 then begin
-    let c = t.wait_stats.(Mp_util.Padding.spaced_index 0) in
-    Atomic.set c (Atomic.get c + relaxes)
-  end;
-  if sleeps > 0 then begin
-    let c = t.wait_stats.(Mp_util.Padding.spaced_index 1) in
-    Atomic.set c (Atomic.get c + sleeps)
-  end
+  tally t 0 (tight spin_reads)
 
 (** Block until [ticket] is completed and return its reply (acking the
-    slot): {!poll} with the adaptive spin → [cpu_relax] → sleep-backoff
-    wait. The submitting client is the only legal caller. *)
+    slot): {!poll} with the spin → [cpu_relax] → park wait. The
+    submitting client is the only legal caller. *)
 let await t ~ticket =
   wait_seq t ~pos:ticket ~target:(ticket + 2);
   let r = t.payload.(base t ticket + 3) in
@@ -376,11 +477,20 @@ let await_chain t ~ticket ~n =
   let last = ticket + n - 1 in
   wait_seq t ~pos:last ~target:(last + 2)
 
+(** {!await_chain}'s park phase alone: no spinning, straight to the
+    client condition (the lost-wakeup tests drive the handshake with
+    it). Returns at once if the chain is already done. *)
+let park_chain t ~ticket ~n =
+  let last = ticket + n - 1 in
+  tally t 1 (park_seq t (seq_at t last) ~target:(last + 2))
+
 (* -- stats ---------------------------------------------------------------- *)
 
 type stats = {
   client_spins : int;  (** [Domain.cpu_relax] iterations inside waits *)
-  client_backoffs : int;  (** sleeps taken inside waits *)
+  client_backoffs : int;
+      (** parks inside waits: [Condition.wait]s on the client condition
+          (the name predates parking, when this counted sleeps) *)
 }
 
 (** Cumulative wait tallies. The counters are updated with plain

@@ -80,10 +80,12 @@ val chain_done : t -> ticket:int -> n:int -> bool
     Only after {!chain_done} is [true] / {!await_chain} returned. *)
 val harvest_chain : t -> ticket:int -> n:int -> replies:int array -> off:int -> unit
 
-(** {2 Adaptive blocking waits}
+(** {2 Blocking waits}
 
-    Tight reads, then [Domain.cpu_relax], then exponential sleep
-    backoff (1 µs doubling, 1 ms cap) — tallied into {!stats}. *)
+    Tight reads, then [Domain.cpu_relax], then a park on the ring's
+    client condition until the consumer completes the awaited slot —
+    tallied into {!stats}. No timer is involved: the completing
+    consumer wakes a parked client. *)
 
 (** Block until [ticket] completes; returns the reply and acks the slot
     (a blocking {!poll}). *)
@@ -93,11 +95,17 @@ val await : t -> ticket:int -> int
     {!harvest_chain}. *)
 val await_chain : t -> ticket:int -> n:int -> unit
 
+(** {!await_chain}'s park phase alone, with no spinning; returns at
+    once if the chain is already done. *)
+val park_chain : t -> ticket:int -> n:int -> unit
+
 (** {2 Wait telemetry} *)
 
 type stats = {
   client_spins : int;  (** [cpu_relax] iterations inside blocking waits *)
-  client_backoffs : int;  (** sleeps taken inside blocking waits *)
+  client_backoffs : int;
+      (** parks inside blocking waits ([Condition.wait]s; the name
+          predates parking, when this counted sleeps) *)
 }
 
 (** Cumulative (approximate under concurrent waiters). *)
@@ -139,3 +147,19 @@ val complete : t -> pos:int -> int -> bool
 
 (** Free a {!cancelled} slot. *)
 val discard : t -> pos:int -> unit
+
+(** {2 Parking the consumer} *)
+
+(** Block until the slot at [pos] is submitted or cancelled, or [stop]
+    is set; returns at once if one already holds. Submits and cancels
+    wake a parked consumer themselves. Whoever sets [stop] must call
+    {!wake_consumer} after setting it. *)
+val park_consumer : t -> pos:int -> stop:bool Atomic.t -> unit
+
+(** Wake the consumer if it is parked (any domain, any time); it
+    re-checks its condition and parks again if nothing holds. *)
+val wake_consumer : t -> unit
+
+(** Is the consumer parked right now? A parked consumer is idle, not
+    stalled. *)
+val consumer_parked : t -> bool

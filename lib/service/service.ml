@@ -49,9 +49,13 @@
     non-execution (unlike {!reply_rejected}, which is ambiguous: the
     crash may have landed mid-operation).
 
-    Single-core friendliness: every wait in this module (and in
-    {!Loadgen}) briefly spins then sleeps, because on an oversubscribed
-    host a pure spin burns exactly the timeslice the peer needs. *)
+    Single-core friendliness: an idle shard spins briefly, then parks
+    on its ring ({!Request_ring.park_consumer}) until a submit, a
+    cancel or {!stop} wakes it, and a client blocked in {!await} or
+    {!await_chain} parks the same way until its reply lands. Neither
+    burns the timeslice its peer needs on an oversubscribed host, and
+    neither adds a timer's overshoot to the round trip. The recovery
+    supervisor reads a parked shard as idle, not stalled. *)
 
 module Padding = Mp_util.Padding
 
@@ -89,14 +93,9 @@ let reply_busy = 4
     collide with the status codes above. *)
 let reply_mget_base = 5
 
-(* -- spin-then-sleep ----------------------------------------------------- *)
-
-let[@inline] pause spins =
-  if !spins < 64 then begin
-    incr spins;
-    Domain.cpu_relax ()
-  end
-  else Unix.sleepf 0.0001
+(* Empty polls an idle shard spends in [Domain.cpu_relax] before it
+   parks on its ring. *)
+let idle_spins = 64
 
 (* -- the service --------------------------------------------------------- *)
 
@@ -387,7 +386,11 @@ let create ?recovery ?autoscale (type a) (module SET : Dstruct.Set_intf.SET with
         end
         else serve_batch ()
       end
-      else pause spins
+      else if !spins < idle_spins then begin
+        incr spins;
+        Domain.cpu_relax ()
+      end
+      else Request_ring.park_consumer ring ~pos:!pos ~stop
     done;
     (* Crash exit racing [stop], or a clean stop: requests submitted
        before the stop flag landed must still be answered, or their
@@ -548,7 +551,9 @@ let supervise t st () =
       if v = dead_hb then recover t st shard
       else begin
         let now = Unix.gettimeofday () in
-        if v <> last_beat.(shard) then begin
+        (* A parked shard stops beating but is idle, not stalled: its
+           next submit wakes it. *)
+        if v <> last_beat.(shard) || Request_ring.consumer_parked t.rings.(shard) then begin
           last_beat.(shard) <- v;
           last_change.(shard) <- now;
           flagged.(shard) <- false
@@ -625,6 +630,8 @@ let start t =
 
 let stop t =
   Atomic.set t.stop true;
+  (* A parked shard re-checks [stop] only when woken. *)
+  Array.iter Request_ring.wake_consumer t.rings;
   (match t.scaler with
   | Some d ->
     Domain.join d;
@@ -684,9 +691,9 @@ let[@inline] poll t ~shard ~ticket = Request_ring.poll t.rings.(shard) ~ticket
     reply if the shard completed first. *)
 let[@inline] cancel t ~shard ~ticket = Request_ring.cancel t.rings.(shard) ~ticket
 
-(** Blocking reply wait — the ring's adaptive spin → [cpu_relax] →
-    sleep-backoff wait ({!Request_ring.await}), tallied in
-    {!stats.client_spins} / {!stats.client_backoffs}. Only meaningful
+(** Blocking reply wait — the ring's spin → [cpu_relax] → park wait
+    ({!Request_ring.await}), tallied in {!stats.client_spins} /
+    {!stats.client_backoffs}. Only meaningful
     while the service is running: shards answer every submitted request
     before they exit, so this cannot hang across a clean [stop]. *)
 let await t ~shard ~ticket = Request_ring.await t.rings.(shard) ~ticket
@@ -706,7 +713,7 @@ type stats = {
   crash_events : int; (* shard crashes over the run (recovered or not) *)
   crashed_shards : int; (* shards dead right now (unrecovered) *)
   client_spins : int; (* cpu_relax iterations inside client await waits *)
-  client_backoffs : int; (* sleeps taken inside client await waits *)
+  client_backoffs : int; (* parks inside client await waits (named when they were sleeps) *)
   live_peak : int; (* pool live-count high-water mark over the run *)
   arenas_attached : int; (* elastic pool: arenas attached under load *)
   arenas_detached : int; (* elastic pool: arena detaches completed *)

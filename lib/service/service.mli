@@ -89,7 +89,8 @@ val create :
 (** Spawn the shard domains (and the supervisor, if configured). *)
 val start : t -> unit
 
-(** Stop and join the supervisor and shards. Requests still in flight
+(** Stop and join the supervisor and shards; parked shards are woken
+    to see the stop flag. Requests still in flight
     are answered ({!reply_rejected}) before the shards exit, so
     concurrent awaiters terminate; submissions racing past [stop] may
     remain unanswered — stop clients first. After the joins, every tid
@@ -143,8 +144,8 @@ val chain_done : t -> shard:int -> ticket:int -> n:int -> bool
 val harvest_chain :
   t -> shard:int -> ticket:int -> n:int -> replies:int array -> off:int -> unit
 
-(** Block (adaptive spin-then-backoff) until the whole chain
-    completes. *)
+(** Block (spin, then park until the shard completes the chain's last
+    slot) until the whole chain completes. *)
 val await_chain : t -> shard:int -> ticket:int -> n:int -> unit
 
 (** Reply code [>= 0], or [-1] while pending (frees the slot when it
@@ -158,8 +159,8 @@ val poll : t -> shard:int -> ticket:int -> int
     cancel then acted as the final poll). *)
 val cancel : t -> shard:int -> ticket:int -> int
 
-(** Blocking {!poll} — adaptive spin → [cpu_relax] → sleep backoff,
-    tallied in {!type-stats}. *)
+(** Blocking {!poll} — spin → [cpu_relax] → park until the shard
+    completes the request, tallied in {!type-stats}. *)
 val await : t -> shard:int -> ticket:int -> int
 
 (** {2 Post-run statistics} (read after {!stop}) *)
@@ -177,7 +178,7 @@ type stats = {
   crash_events : int; (* shard crashes over the run (recovered or not) *)
   crashed_shards : int; (* shards dead right now (unrecovered) *)
   client_spins : int; (* cpu_relax iterations inside client await waits *)
-  client_backoffs : int; (* sleeps taken inside client await waits *)
+  client_backoffs : int; (* parks inside client await waits (named when they were sleeps) *)
   live_peak : int; (* pool live-count high-water mark over the run *)
   arenas_attached : int; (* elastic pool: arenas attached under load *)
   arenas_detached : int; (* elastic pool: arena detaches completed *)

@@ -330,6 +330,32 @@ let service_no_faults_no_recoveries () =
   Alcotest.(check int) "no recoveries" 0 r.Recovery.recoveries;
   Alcotest.(check int) "pool untouched" 1 r.Recovery.free_tids
 
+(* An idle shard parks on its ring and stops beating. The supervisor
+   must read a parked shard as idle, not stalled: 0.1 s of idleness is
+   five stall timeouts, and not one may count as suspected. *)
+let service_idle_not_suspected () =
+  let shards = 2 and spare_tids = 1 in
+  let threads = shards + spare_tids in
+  let module SET = Dstruct.Michael_list.Make (Smr_schemes.Hp) in
+  let config = Config.default ~threads in
+  let set = SET.create ~threads ~capacity:1024 ~check_access:true config in
+  let svc =
+    Service.create
+      ~recovery:{ Recovery.default with spare_tids; stall_timeout_s = 0.02 }
+      (module SET) set ~shards ~batch:8 ~ring_capacity:16
+  in
+  Service.start svc;
+  (* One request per shard first: each serves, then goes idle. *)
+  for shard = 0 to shards - 1 do
+    let ticket = Service.try_submit svc ~shard ~op:Service.op_insert ~key:shard ~value:0 in
+    Alcotest.(check int) "served" Service.reply_true (Service.await svc ~shard ~ticket)
+  done;
+  Unix.sleepf 0.1;
+  Service.stop svc;
+  let r = Option.get (Service.recovery_stats svc) in
+  Alcotest.(check int) "idle shards not suspected" 0 r.Recovery.suspected;
+  Alcotest.(check int) "no recoveries" 0 r.Recovery.recoveries
+
 (* -- QCheck: random crash/stall plans through crash→adopt→respawn --------- *)
 
 let qcheck_round seed =
@@ -425,6 +451,8 @@ let () =
             service_crash_recovers_chained;
           Alcotest.test_case "no faults: supervisor stays idle" `Slow
             service_no_faults_no_recoveries;
+          Alcotest.test_case "idle (parked) shards are not suspected" `Quick
+            service_idle_not_suspected;
         ] );
       ("faults", [ QCheck_alcotest.to_alcotest ~long:true qcheck_recovery ]);
     ]

@@ -305,9 +305,9 @@ let ring_await_stats () =
   Alcotest.(check int) "await returns the reply" 42 (Ring.await r ~ticket:t);
   Domain.join d;
   let st = Ring.stats r in
-  Alcotest.(check bool) "adaptive wait tallied" true
+  Alcotest.(check bool) "wait tallied" true
     (st.Ring.client_spins + st.Ring.client_backoffs > 0);
-  Alcotest.(check bool) "5 ms pushed past the spin phases" true (st.Ring.client_backoffs > 0)
+  Alcotest.(check bool) "5 ms reached the park phase" true (st.Ring.client_backoffs > 0)
 
 (* Multi-producer chained no-lost/no-dup: random chain depths, blocking
    chained submits, coalesced awaits. The consumer is the same
@@ -388,6 +388,93 @@ let ring_chain_no_lost_no_dup () =
       submitted.(tid) seen.(tid)
   done
 
+(* -- 2b. parking: no lost wakeups ------------------------------------------ *)
+
+(* Ping-pong with both sides parked on every round trip: the consumer
+   parks on every empty poll (no spin phase) and the client parks for
+   every reply. A lost wakeup on either handshake hangs the test. *)
+let ring_park_ping_pong () =
+  let trips = 10_000 in
+  let r = Ring.create ~capacity:4 in
+  let stop = Atomic.make false in
+  let consumer =
+    Domain.spawn (fun () ->
+        let pos = ref 0 in
+        while !pos < trips do
+          if Ring.ready r ~pos:!pos then begin
+            ignore (Ring.complete r ~pos:!pos (Ring.key r ~pos:!pos + 1) : bool);
+            incr pos
+          end
+          else Ring.park_consumer r ~pos:!pos ~stop
+        done)
+  in
+  let replies = [| 0 |] and bad = ref 0 in
+  for i = 1 to trips do
+    (* one request in flight: the ring is never full *)
+    let ticket = Ring.try_submit r ~op:0 ~key:i ~value:0 in
+    Ring.park_chain r ~ticket ~n:1;
+    Ring.harvest_chain r ~ticket ~n:1 ~replies ~off:0;
+    if replies.(0) <> i + 1 then incr bad
+  done;
+  Domain.join consumer;
+  Alcotest.(check int) "every reply routed" 0 !bad;
+  Alcotest.(check bool) "the client parked" true ((Ring.stats r).Ring.client_backoffs > 0)
+
+(* Cancelled slots must not strand a parked consumer. Each round waits
+   until the consumer is parked, fills the capacity-4 ring and cancels
+   all four tickets at once. Then it submits nothing further until the
+   ring accepts a probe again. The four submits race the cancels; the
+   consumer may wake to any mix of ready and cancelled slots, and must
+   free all four either way. A consumer whose park ignores cancelled
+   slots hangs here. *)
+let ring_cancel_wakes_parked () =
+  let rounds = 200 in
+  let r = Ring.create ~capacity:4 in
+  Alcotest.(check int) "capacity" 4 (Ring.capacity r);
+  let stop = Atomic.make false in
+  let freed = Atomic.make 0 in
+  let consumer =
+    Domain.spawn (fun () ->
+        let pos = ref 0 in
+        while not (Atomic.get stop) do
+          if Ring.cancelled r ~pos:!pos then begin
+            Ring.discard r ~pos:!pos;
+            Atomic.incr freed;
+            incr pos
+          end
+          else if Ring.ready r ~pos:!pos then begin
+            (* a cancel may win the race against this completion *)
+            if not (Ring.complete r ~pos:!pos 0) then Atomic.incr freed;
+            incr pos
+          end
+          else Ring.park_consumer r ~pos:!pos ~stop
+        done)
+  in
+  let tickets = Array.make 4 0 and won = ref 0 in
+  for _ = 1 to rounds do
+    while not (Ring.consumer_parked r) do
+      Domain.cpu_relax ()
+    done;
+    for i = 0 to 3 do
+      tickets.(i) <- Ring.try_submit r ~op:0 ~key:i ~value:0
+    done;
+    Alcotest.(check bool) "four slots claimed" true (Array.for_all (fun t -> t >= 0) tickets);
+    Alcotest.(check int) "ring full" (-1) (Ring.try_submit r ~op:0 ~key:0 ~value:0);
+    Array.iter (fun ticket -> if Ring.cancel r ~ticket < 0 then incr won) tickets;
+    (* A refused probe publishes nothing, so it wakes nobody. *)
+    let probe = ref (-1) in
+    while !probe < 0 do
+      Domain.cpu_relax ();
+      probe := Ring.try_submit r ~op:0 ~key:0 ~value:0
+    done;
+    ignore (Ring.await r ~ticket:!probe : int)
+  done;
+  Atomic.set stop true;
+  Ring.wake_consumer r;
+  Domain.join consumer;
+  Alcotest.(check bool) "some cancels won" true (!won > 0);
+  Alcotest.(check int) "every won cancel freed by the consumer" !won (Atomic.get freed)
+
 (* -- 3. service end-to-end ------------------------------------------------ *)
 
 let make_hash = Mp_harness.Instances.make Mp_harness.Instances.Hash_ds
@@ -442,6 +529,22 @@ let service_round ?(mget = 1) ?(chain = 1) (module SET : Dstruct.Set_intf.SET)
   Alcotest.(check bool) "no batch overran B" true (stats.Service.max_batch <= batch);
   Alcotest.(check bool) "no crashes without faults" true (stats.Service.crashed_shards = 0);
   check_percentile_order result.Loadgen.latency
+
+(* [Service.stop] on a started service whose shards have gone idle and
+   parked must wake them and return. *)
+let stop_parked_service () =
+  let (module SET : Dstruct.Set_intf.SET) = make_hash (module Mp.Margin_ptr) in
+  let shards = 2 in
+  let config = Config.default ~threads:shards in
+  let set = SET.create ~threads:shards ~capacity:1024 ~check_access:true config in
+  let svc = Service.create (module SET) set ~shards ~batch:8 ~ring_capacity:16 in
+  Service.start svc;
+  let ticket = Service.try_submit svc ~shard:0 ~op:Service.op_insert ~key:1 ~value:1 in
+  Alcotest.(check int) "served before idling" Service.reply_true
+    (Service.await svc ~shard:0 ~ticket);
+  Unix.sleepf 0.05;
+  Service.stop svc;
+  Alcotest.(check int) "one op, then stopped" 1 (Service.stats svc).Service.ops
 
 (* A multi-get reply counts hits above [reply_mget_base], and its gets
    are charged against the batch window's op budget: an 8-get at B=4
@@ -579,6 +682,9 @@ let () =
           Alcotest.test_case "chain of 1 = per-slot protocol" `Quick ring_chain_one_equals_single;
           Alcotest.test_case "await tallies spins and backoffs" `Quick ring_await_stats;
           Alcotest.test_case "chained no lost, no dup (3 producers)" `Slow ring_chain_no_lost_no_dup;
+          Alcotest.test_case "parked ping-pong, 10k round trips" `Quick ring_park_ping_pong;
+          Alcotest.test_case "stop wakes a parked service" `Quick stop_parked_service;
+          Alcotest.test_case "cancelled slots do not strand a parked consumer" `Quick ring_cancel_wakes_parked;
         ] );
       ( "service",
         [
